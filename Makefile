@@ -35,7 +35,7 @@ race:
 bench:
 	@{ $(GO) test -run NONE -bench 'SimTick' -benchmem ./internal/sim ; \
 	   $(GO) test -run NONE -bench 'SimulatorThroughput|RollingDetector|KMeansSweep|SiliconModel|WorkloadGeneration' -benchmem . ; \
-	   $(GO) test -run NONE -bench 'StudyParallel|StudyKernelSched|StudyCache|StudyPredict|StudyRemote|StudySuiteDedup|StudyStream|Serve' -benchtime=1x . ; } \
+	   $(GO) test -run NONE -bench 'StudyParallel|StudyKernelSched|StudyCache|StudyRemote|StudySuiteDedup|StudyStream|Serve' -benchtime=1x . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_study.json -baseline BENCH_study.json \
 	    -note "recorded on the 1-CPU reference box: parallel and remote sub-benches (StudyParallel/p=4, StudyRemote/workers=2) are slower than their serial arms there because fan-out only adds overhead without cores to spread across; their speedup gates apply on >= 4 CPUs"
 	@echo wrote BENCH_study.json
@@ -63,10 +63,7 @@ bench-all:
 # The fifth stage gates the streaming overlap: at >= 4 CPUs the streaming
 # pipeline must finish at least 1.3x faster than the phase-sequential run
 # of the same study (skipped below 4 CPUs, where there are no spare cores
-# to overlap speculative simulation onto). The sixth stage gates the
-# learned tier-0 predictor: a study served from a trained model must run
-# at least 1.3x faster than the same study fully simulated — no CPU
-# floor, because the win is work elimination rather than parallelism.
+# to overlap speculative simulation onto).
 bench-check:
 	@{ $(GO) test -run NONE -bench 'SimulatorThroughput' -benchtime=5x . ; \
 	   $(GO) test -run NONE -bench 'KMeansSweep' -benchtime=5x . ; } \
@@ -84,8 +81,5 @@ bench-check:
 	@$(GO) test -run NONE -bench 'StudyStream/(sequential|streaming)' -benchtime=1x . \
 	| $(GO) run ./cmd/benchjson -o /dev/null \
 	    -check-ratio 'StudyStream/sequential:StudyStream/streaming:1.3:4'
-	@$(GO) test -run NONE -bench 'StudyPredict/(nopredict|predict)' -benchtime=1x . \
-	| $(GO) run ./cmd/benchjson -o /dev/null \
-	    -check-ratio 'StudyPredict/nopredict:StudyPredict/predict:1.3'
 
 ci: vet build test race bench-check

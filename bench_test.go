@@ -42,7 +42,6 @@ import (
 	"pka/internal/parallel"
 	"pka/internal/pkp"
 	"pka/internal/pks"
-	"pka/internal/predict"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/serve"
@@ -554,66 +553,6 @@ func BenchmarkStudyCache(b *testing.B) {
 			cold := sweep(b.TempDir())
 			warm := sweep(warmDir)
 			b.ReportMetric(cold.Seconds()/warm.Seconds(), "x")
-		}
-	})
-}
-
-// BenchmarkStudyPredict measures the learned tier-0 predictor: the same
-// study set evaluated on a fresh Exec with no caches at all, versus a
-// fresh Exec whose only shortcut is a predictor model trained from a
-// prewarmed artifact store. Every kernel task hits a training key, so
-// the predict arm serves exact stored outcomes from memory without
-// simulating or touching disk — the warm-path replacement the tier
-// exists for. CI gates nopredict/predict >= 1.3x; the gate needs no CPU
-// floor because the win is work elimination, not parallelism.
-func BenchmarkStudyPredict(b *testing.B) {
-	ws := studyBenchSet(b)
-	dev := gpu.VoltaV100()
-	st, err := artifact.Open(b.TempDir(), artifact.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	evalAll := func(e *sampling.Exec) time.Duration {
-		t0 := time.Now()
-		for _, w := range ws {
-			if _, err := core.Evaluate(core.Config{Device: dev, Exec: e}, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return time.Since(t0)
-	}
-	evalAll(sampling.NewExec(parallel.NewScheduler(0), st)) // warm the store
-	samples, scan := predict.ScanStore(dev, st, ws, predict.ScanOptions{})
-	if scan.Hits == 0 {
-		b.Fatalf("store scan found no training samples: %+v", scan)
-	}
-	model, err := predict.Train(dev, samples, predict.TrainOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(withModel bool) time.Duration {
-		e := sampling.NewExec(parallel.NewScheduler(0), nil)
-		if withModel {
-			e.SetPredictor(predict.NewTier(model, predict.TierOptions{VerifyFraction: -1}))
-		}
-		return evalAll(e)
-	}
-	b.Run("nopredict", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(false)
-		}
-	})
-	b.Run("predict", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(true)
-		}
-	})
-	b.Run("speedup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nop := run(false)
-			pred := run(true)
-			b.ReportMetric(nop.Seconds()/pred.Seconds(), "x")
 		}
 	})
 }

@@ -34,7 +34,6 @@ import (
 	"pka/internal/parallel"
 	"pka/internal/pkp"
 	"pka/internal/pks"
-	"pka/internal/predict"
 	"pka/internal/report"
 	"pka/internal/sampling"
 	"pka/internal/stats"
@@ -43,49 +42,40 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list the 147 study workloads")
-		wname     = flag.String("w", "", "workload full name (suite/name)")
-		device    = flag.String("device", "volta", cli.DeviceNames)
-		target    = flag.Float64("target", 5, "PKS target selection error (%)")
-		sThresh   = flag.Float64("s", pkp.DefaultThreshold, "PKP stability threshold s")
-		window    = flag.Int("n", pkp.DefaultWindow, "PKP rolling window (cycles)")
-		selOnly   = flag.Bool("selection-only", false, "stop after Principal Kernel Selection")
-		maxK      = flag.Int("maxk", 20, "K-Means sweep bound")
-		jsonOut   = flag.String("json", "", "write the selection (groups, representatives, weights) to this JSON file")
-		wfile     = flag.String("workload-file", "", "analyze a user-defined workload from a JSON document instead of -w")
-		par       = flag.Int("p", 0, "parallelism: concurrent pipeline stages (0 = GOMAXPROCS, 1 = serial)")
-		explain   = flag.Bool("explain", false, "print the per-tier execution provenance report (which ladder tier served each kernel launch) after the study")
-		flightF   = flag.String("flight", "", "write the per-kernel execution provenance (flight recorder) as NDJSON to this file")
-		suiteDed  = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
-		stream    = flag.String("stream", "", "read NDJSON kernel launch events from this file ('-' = stdin) and run the streaming pipeline; output matches the batch run byte for byte")
-		emitEv    = flag.String("emit-events", "", "with -w or -workload-file: write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
-		obsFl     cli.ObsFlags
-		cacheFl   cli.CacheFlags
-		remoteFl  cli.RemoteFlags
-		predictFl cli.PredictFlags
+		list     = flag.Bool("list", false, "list the 147 study workloads")
+		wname    = flag.String("w", "", "workload full name (suite/name)")
+		device   = flag.String("device", "volta", cli.DeviceNames)
+		target   = flag.Float64("target", 5, "PKS target selection error (%)")
+		sThresh  = flag.Float64("s", pkp.DefaultThreshold, "PKP stability threshold s")
+		window   = flag.Int("n", pkp.DefaultWindow, "PKP rolling window (cycles)")
+		selOnly  = flag.Bool("selection-only", false, "stop after Principal Kernel Selection")
+		maxK     = flag.Int("maxk", 20, "K-Means sweep bound")
+		jsonOut  = flag.String("json", "", "write the selection (groups, representatives, weights) to this JSON file")
+		wfile    = flag.String("workload-file", "", "analyze a user-defined workload from a JSON document instead of -w")
+		par      = flag.Int("p", 0, "parallelism: concurrent pipeline stages (0 = GOMAXPROCS, 1 = serial)")
+		explain  = flag.Bool("explain", false, "print the per-tier execution provenance report (which ladder tier served each kernel launch) after the study")
+		flightF  = flag.String("flight", "", "write the per-kernel execution provenance (flight recorder) as NDJSON to this file")
+		suiteDed = flag.String("suite-dedup", "", "run a suite-level dedup study over this comma-separated workload list: cluster all apps in one shared PCA space, simulate one representative per cross-workload group, and report per-app errors plus the warp-instruction savings vs per-app PKS")
+		stream   = flag.String("stream", "", "read NDJSON kernel launch events from this file ('-' = stdin) and run the streaming pipeline; output matches the batch run byte for byte")
+		emitEv   = flag.String("emit-events", "", "with -w or -workload-file: write the workload as an NDJSON kernel-event stream to this file ('-' = stdout) and exit")
+		obsFl    cli.ObsFlags
+		cacheFl  cli.CacheFlags
+		remoteFl cli.RemoteFlags
 	)
 	obsFl.Register(nil)
 	cacheFl.Register(nil)
 	remoteFl.Register(nil)
-	predictFl.Register(nil)
 	flag.Parse()
 
 	// -stream brings its own workload (the event header names it) and is a
 	// single-app pipeline, so the batch workload selectors and the
-	// multi-app dedup study are incoherent alongside it. -predict-train is
-	// an offline mode of its own: it mines the artifact cache and exits, so
-	// it can't serve a model or run any study alongside.
+	// multi-app dedup study are incoherent alongside it.
 	if err := cli.FlagConflicts(nil,
 		[2]string{"stream", "suite-dedup"},
 		[2]string{"stream", "w"},
 		[2]string{"stream", "workload-file"},
 		[2]string{"stream", "emit-events"},
 		[2]string{"stream", "selection-only"},
-		[2]string{"predict-train", "predict"},
-		[2]string{"predict-train", "stream"},
-		[2]string{"predict-train", "suite-dedup"},
-		[2]string{"predict-train", "selection-only"},
-		[2]string{"predict-train", "emit-events"},
 	); err != nil {
 		fatal(err)
 	}
@@ -126,8 +116,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	case predictFl.Train != "":
-		// Training without a workload selector scans the whole study set.
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -154,25 +142,6 @@ func main() {
 	store, err := cacheFl.Open()
 	if err != nil {
 		fatal(err)
-	}
-
-	if predictFl.Train != "" {
-		ws := workload.All()
-		if w != nil {
-			ws = []*workload.Workload{w}
-		}
-		if err := predictFl.TrainAndSave(dev, store, ws, predict.ScanOptions{
-			PKP: pkp.Options{Threshold: *sThresh, Window: *window},
-		}); err != nil {
-			fatal(err)
-		}
-		if err := obsFl.Finish(); err != nil {
-			fatal(err)
-		}
-		if err := cacheFl.Finish(nil); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	exec := sampling.NewExec(parallel.NewScheduler(*par), store)
@@ -203,9 +172,6 @@ func main() {
 	observer.RegisterCacheStats(cacheStats)
 
 	exec.SetMetrics(observer.ExecMetrics())
-	if err := predictFl.Start(exec, observer); err != nil {
-		fatal(err)
-	}
 
 	cfg := core.Config{
 		Device:      dev,
@@ -306,7 +272,7 @@ func main() {
 		return
 	}
 
-	ev, err := core.Evaluate(cfg, w)
+	ev, err := core.EvaluateWithSelection(cfg, w, sel)
 	if err != nil {
 		fatal(err)
 	}
@@ -321,9 +287,6 @@ func main() {
 		if err := writeFlight(flight, *flightF); err != nil {
 			fatal(err)
 		}
-	}
-	if err := predictFl.Finish(exec); err != nil {
-		fatal(err)
 	}
 	if err := obsFl.Finish(); err != nil {
 		fatal(err)

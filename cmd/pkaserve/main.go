@@ -54,17 +54,11 @@ func main() {
 		obsFl      cli.ObsFlags
 		cacheFl    cli.CacheFlags
 		remoteFl   cli.RemoteFlags
-		predictFl  cli.PredictFlags
 	)
 	obsFl.Register(nil)
 	cacheFl.Register(nil)
 	remoteFl.Register(nil)
-	predictFl.Register(nil)
 	flag.Parse()
-
-	if predictFl.Train != "" {
-		fatal(fmt.Errorf("-predict-train is an offline pka mode; the service only serves with -predict"))
-	}
 
 	weights, err := cli.ParseWeights(*tenants)
 	if err != nil {
@@ -85,9 +79,6 @@ func main() {
 	}
 	exec := sampling.NewExec(parallel.NewScheduler(*par), store)
 	exec.SetMetrics(observer.ExecMetrics())
-	if err := predictFl.Start(exec, observer); err != nil {
-		fatal(err)
-	}
 	dispatcher, err := remoteFl.Start(store, observer)
 	if err != nil {
 		fatal(err)
@@ -148,9 +139,6 @@ func main() {
 	_ = hs.Shutdown(ctx)
 	if !*quiet {
 		fmt.Fprint(os.Stderr, srv.LatencyReport().String())
-	}
-	if err := predictFl.Finish(exec); err != nil {
-		fatal(err)
 	}
 	if err := obsFl.Finish(); err != nil {
 		fatal(err)

@@ -23,7 +23,6 @@ import (
 	"pka/internal/gpu"
 	"pka/internal/obs"
 	"pka/internal/parallel"
-	"pka/internal/predict"
 	"pka/internal/remote"
 	"pka/internal/sampling"
 	"pka/internal/workload"
@@ -401,122 +400,6 @@ func (f *RemoteFlags) Dispatcher() *remote.Dispatcher { return f.dispatcher }
 // without -shard). Wire it with Exec.SetShard, and fold its CacheCounts
 // into the -cache-stats families as "shard".
 func (f *RemoteFlags) ShardClient() *remote.ShardClient { return f.shard }
-
-// PredictFlags is the learned-predictor flag bundle both CLIs register.
-// -predict loads a trained model artifact and installs it as the Exec
-// ladder's opt-in tier 0: kernels the model answers confidently skip
-// simulation entirely, everything else falls through to the exact ladder.
-// -predict-train mines the artifact cache (-cache-dir) for accumulated
-// outcomes, fits a model, writes the versioned artifact, and exits.
-// Without -predict the tier does not exist and output is byte-identical
-// to earlier builds; with it, an async verifier re-simulates a sampled
-// fraction of served predictions and auto-disables the tier when the
-// observed error exceeds -predict-err-bound.
-type PredictFlags struct {
-	Model      string  // model artifact to serve from; empty disables the tier
-	Train      string  // train a model from the artifact cache into this path, then exit
-	Conf       float64 // minimum confidence to serve a non-exact prediction
-	VerifyFrac float64 // fraction of served predictions to re-simulate (0 = none)
-	VerifySeed uint64  // seed for the deterministic verify sampler
-	ErrBound   float64 // mean relative cycle error that auto-disables the tier
-	MinVerify  int     // verifications required before the bound is enforced
-	Seed       uint64  // training seed (-predict-train)
-	Report     string  // accuracy/coverage report path ("-" for stdout)
-
-	tier *predict.Tier
-}
-
-// Register installs the predictor flags on the flag set (the default set
-// when fs is nil).
-func (f *PredictFlags) Register(fs *flag.FlagSet) {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	fs.StringVar(&f.Model, "predict", "", "serve kernel outcomes from this trained predictor model as Exec ladder tier 0 (see -predict-train)")
-	fs.StringVar(&f.Train, "predict-train", "", "train a predictor model from the -cache-dir artifact store, write it to this path, and exit")
-	fs.Float64Var(&f.Conf, "predict-conf", predict.DefaultMinConfidence, "minimum model confidence to serve a non-exact prediction (>1 = exact training keys only)")
-	fs.Float64Var(&f.VerifyFrac, "predict-verify-frac", predict.DefaultVerifyFrac, "fraction of served predictions re-simulated by the async verifier (0 disables verification)")
-	fs.Uint64Var(&f.VerifySeed, "predict-verify-seed", 0, "seed for the deterministic per-key verify sampler")
-	fs.Float64Var(&f.ErrBound, "predict-err-bound", predict.DefaultErrorBound, "mean relative projected-cycle error over verified predictions that auto-disables the tier")
-	fs.IntVar(&f.MinVerify, "predict-min-verify", predict.DefaultMinVerified, "verifications required before -predict-err-bound is enforced")
-	fs.Uint64Var(&f.Seed, "predict-seed", 0, "training seed for -predict-train (same store + seed = identical model)")
-	fs.StringVar(&f.Report, "predict-report", "", "write the predictor accuracy/coverage report to this file (\"-\" for stdout)")
-}
-
-// Active reports whether -predict was given.
-func (f *PredictFlags) Active() bool { return f.Model != "" }
-
-// Start loads the model named by -predict and installs the serving tier
-// on the exec. A no-op without -predict, so the default ladder is exactly
-// the pre-predictor one.
-func (f *PredictFlags) Start(exec *sampling.Exec, o *obs.Observer) error {
-	if f.Model == "" {
-		return nil
-	}
-	model, err := predict.Load(f.Model)
-	if err != nil {
-		return err
-	}
-	vf := f.VerifyFrac
-	if vf <= 0 {
-		vf = -1 // NewTier treats negative as "no verification"
-	}
-	opts := predict.TierOptions{
-		MinConfidence:  f.Conf,
-		VerifyFraction: vf,
-		VerifySeed:     f.VerifySeed,
-		ErrorBound:     f.ErrBound,
-		MinVerified:    f.MinVerify,
-	}
-	if o != nil {
-		opts.Metrics = o.PredictorMetrics()
-	}
-	f.tier = predict.NewTier(model, opts)
-	exec.SetPredictor(f.tier)
-	fmt.Fprintf(os.Stderr, "predictor: serving from %s (%d training keys, device %s)\n",
-		f.Model, model.Rows(), model.DeviceName())
-	return nil
-}
-
-// Tier returns the serving tier Start installed (nil without -predict).
-func (f *PredictFlags) Tier() *predict.Tier { return f.tier }
-
-// TrainAndSave runs the -predict-train mode: mine the store for training
-// samples over the workloads' task specs, fit a model, and persist it.
-func (f *PredictFlags) TrainAndSave(dev gpu.Device, store *artifact.Store, ws []*workload.Workload, scan predict.ScanOptions) error {
-	if store == nil {
-		return fmt.Errorf("predict-train: needs -cache-dir (the model is trained from the artifact store)")
-	}
-	samples, sum := predict.ScanStore(dev, store, ws, scan)
-	fmt.Printf("predictor training scan: %d workloads, %d kernels, %d keys probed, %d outcomes found\n",
-		sum.Workloads, sum.Kernels, sum.Probed, sum.Hits)
-	model, err := predict.Train(dev, samples, predict.TrainOptions{Seed: f.Seed})
-	if err != nil {
-		return err
-	}
-	if err := model.Save(f.Train); err != nil {
-		return err
-	}
-	fmt.Printf("predictor model written to %s (%d training rows, in-sample rel err %.4f)\n",
-		f.Train, model.Rows(), model.FitError())
-	return nil
-}
-
-// Finish drains the exec's async verifier and writes the -predict-report.
-// Safe to call when the tier was never installed.
-func (f *PredictFlags) Finish(exec *sampling.Exec) error {
-	if f.tier == nil {
-		return nil
-	}
-	exec.DrainVerify()
-	if f.Report == "" {
-		return nil
-	}
-	if f.Report == "-" {
-		return f.tier.WriteReport(os.Stdout)
-	}
-	return writeFile(f.Report, f.tier.WriteReport)
-}
 
 // splitURLs splits a comma-separated URL list, dropping blanks.
 func splitURLs(csv string) []string {

@@ -59,7 +59,6 @@ func TestFlightReportGolden(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"execution provenance: 2 kernel launches",
-		"  tier predict      0 launches  wait           0s  service           0s",
 		"  tier mem          0 launches  wait           0s  service           0s",
 		"  tier disk         0 launches  wait           0s  service           0s",
 		"  tier shard        0 launches  wait           0s  service           0s",

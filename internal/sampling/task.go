@@ -179,7 +179,7 @@ func TaskKey(dev gpu.Device, k *trace.KernelDesc, t KernelTask) string {
 }
 
 // deviceSection serializes every semantic device-configuration field — the
-// device half of TaskKey's content key and of DeviceFingerprint.
+// device half of TaskKey's content key.
 func deviceSection(dev gpu.Device) []byte {
 	var buf [8]byte
 	u := func(b *[]byte, v uint64) {
@@ -215,17 +215,6 @@ func deviceSection(dev gpu.Device) []byte {
 	}
 	f(&devSec, dev.ISAScale)
 	return devSec
-}
-
-// deviceSchema versions DeviceFingerprint; bump it with deviceSection.
-const deviceSchema = "pka-device-v1"
-
-// DeviceFingerprint returns a stable content hash of the device
-// configuration — the device half of every TaskKey. A model artifact
-// trained against one device records this fingerprint so a predictor can
-// refuse to score tasks for a differently-configured GPU.
-func DeviceFingerprint(dev gpu.Device) string {
-	return artifact.Key([]byte(deviceSchema), deviceSection(dev))
 }
 
 // outcomeSize is the fixed on-disk payload size of one KernelOutcome.
@@ -301,50 +290,20 @@ type ShardTier interface {
 	Store(key string, payload []byte)
 }
 
-// Predictor is the opt-in tier 0 of the Exec ladder: a learned model that
-// maps (device, kernel features, task spec) to a KernelOutcome without
-// simulating anything. Predict must be a pure function of its inputs and
-// the predictor's configuration — the same task must predict identically
-// however many times and on whatever goroutine it is asked — because a
-// served prediction bypasses every cache and duplicate launches re-predict
-// independently. ok=false means "fall through to the real ladder" (low
-// confidence, unknown device, or the tier disabled itself); verify=true
-// asks the Exec to re-simulate this served prediction asynchronously down
-// the real ladder and report the ground truth back through Verified, which
-// must be safe for concurrent use.
-//
-// Implementations must never store predicted outcomes anywhere the real
-// ladder reads (and Exec never does): predictions are approximations, and
-// the mem/disk/shard caches hold exact simulation results only.
-type Predictor interface {
-	Predict(dev gpu.Device, k *trace.KernelDesc, task KernelTask, key string) (oc KernelOutcome, verify bool, ok bool)
-	Verified(key string, predicted, actual KernelOutcome)
-}
-
-// verifyWorkers bounds concurrently running async verification
-// re-simulations so a high -predict-verify-frac cannot starve the study's
-// own tasks.
-const verifyWorkers = 4
-
 // Exec bundles the execution resources one study run shares across all of
 // its kernel tasks: the global scheduler, the persistent artifact store,
 // an in-memory singleflight outcome cache layered above it, optional
 // sharded-fleet-cache and remote worker tiers between the disk cache and
-// local simulation, and an optional learned-predictor tier above
-// everything. A nil *Exec is valid and degrades every entry point to the
-// serial, uncached behaviour — one fresh simulator per kernel on the
-// calling goroutine.
+// local simulation. A nil *Exec is valid and degrades every entry point
+// to the serial, uncached behaviour — one fresh simulator per kernel on
+// the calling goroutine.
 type Exec struct {
 	sched  *parallel.Scheduler
 	store  *artifact.Store
 	shard  ShardTier
 	remote RemoteTier
-	pred   Predictor
 	mem    parallel.Cache[string, KernelOutcome]
 	execM  *obs.ExecMetrics
-
-	verifyWG  sync.WaitGroup
-	verifySem chan struct{}
 }
 
 // NewExec builds an Exec. Either resource may be nil: a nil scheduler runs
@@ -370,33 +329,6 @@ func (e *Exec) SetRemote(r RemoteTier) {
 func (e *Exec) SetShard(s ShardTier) {
 	if e != nil {
 		e.shard = s
-	}
-}
-
-// SetPredictor installs (or, with nil, removes) the learned-predictor
-// tier. Unlike every other tier, the predictor can change results: a
-// served prediction is a model output, not a simulation. The contract
-// that keeps studies reproducible is weaker but still firm — Predict is
-// pure, so a study's output is byte-identical at any parallelism and any
-// cache state for a fixed model and gate; it just isn't the simulated
-// output unless the prediction was exact.
-func (e *Exec) SetPredictor(p Predictor) {
-	if e == nil {
-		return
-	}
-	e.pred = p
-	if p != nil && e.verifySem == nil {
-		e.verifySem = make(chan struct{}, verifyWorkers)
-	}
-}
-
-// DrainVerify blocks until every asynchronous prediction verification
-// spawned so far has finished. Call it before reading the predictor's
-// online error estimate at end of run; without a predictor it returns
-// immediately.
-func (e *Exec) DrainVerify() {
-	if e != nil {
-		e.verifyWG.Wait()
 	}
 }
 
@@ -488,45 +420,6 @@ func (e *Exec) RunKernelTaskObs(dev gpu.Device, k *trace.KernelDesc, task Kernel
 	return e.run(dev, *k, task, to, false)
 }
 
-func (e *Exec) run(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, error) {
-	key := TaskKey(dev, &k, task)
-	// observed gates all timing: with no flight recorder and no metrics
-	// bundle the ladder takes no clock readings at all.
-	observed := to.Flight != nil || e.execM != nil
-	var start time.Time
-	if observed {
-		start = time.Now()
-	}
-	// Tier 0: the learned predictor, consulted before any cache. A served
-	// prediction bypasses the singleflight entirely — Predict is pure, so
-	// duplicate launches re-predict identically without coordination — and
-	// is never written to any cache, which is what keeps the mem/disk/shard
-	// tiers holding exact simulation results only.
-	if p := e.pred; p != nil {
-		if oc, verify, ok := p.Predict(dev, &k, task, key); ok {
-			if verify {
-				e.spawnVerify(dev, k, task, key, oc, p)
-			}
-			if observed {
-				end := time.Now()
-				e.execM.Observe(int(TierPredict), end.Sub(start).Seconds())
-				e.record(to, key, TierPredict, start, end, nil, "")
-			}
-			return oc, nil
-		}
-	}
-	oc, tier, ro, shardPeer, err := e.runLadder(dev, k, task, to, allowRemote)
-	if err != nil {
-		return oc, err
-	}
-	if observed {
-		end := time.Now()
-		e.execM.Observe(int(tier), end.Sub(start).Seconds())
-		e.record(to, key, tier, start, end, ro, shardPeer)
-	}
-	return oc, nil
-}
-
 // record appends one provenance entry for a task served at tier. No-op
 // without a flight recorder.
 func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, ro *RemoteObs, shardPeer string) {
@@ -558,34 +451,17 @@ func (e *Exec) record(to TaskObs, key string, tier Tier, start, end time.Time, r
 	to.Flight.Record(entry)
 }
 
-// spawnVerify re-simulates a served prediction down the real ladder on a
-// bounded background worker and reports the exact outcome back to the
-// predictor. Verification runs are deliberately unobserved — no exec-tier
-// metrics, no provenance — so per-tier counts keep summing exactly to the
-// launch count; they do warm the mem and disk caches with the exact
-// outcome, which is pure gain. Failures are dropped: verification is an
-// accuracy estimate, never a correctness dependency.
-func (e *Exec) spawnVerify(dev gpu.Device, k trace.KernelDesc, task KernelTask, key string, predicted KernelOutcome, p Predictor) {
-	e.verifyWG.Add(1)
-	go func() {
-		defer e.verifyWG.Done()
-		e.verifySem <- struct{}{}
-		defer func() { <-e.verifySem }()
-		actual, _, _, _, err := e.runLadder(dev, k, task, TaskObs{}, true)
-		if err != nil {
-			return
-		}
-		p.Verified(key, predicted, actual)
-	}()
-}
-
-// runLadder resolves one task through the real serving ladder (everything
-// below the predictor): mem singleflight → disk → owner shard → remote
-// workers → fresh sim. It takes no clock readings and records nothing —
-// observation is the caller's business — so the verifier can reuse it
-// without perturbing tier accounting.
-func (e *Exec) runLadder(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, Tier, *RemoteObs, string, error) {
+// run is the ladder behind runKernel and RunKernelTaskObs; allowRemote
+// gates the remote-worker tier.
+func (e *Exec) run(dev gpu.Device, k trace.KernelDesc, task KernelTask, to TaskObs, allowRemote bool) (KernelOutcome, error) {
 	key := TaskKey(dev, &k, task)
+	// observed gates all timing: with no flight recorder and no metrics
+	// bundle the ladder takes no clock readings at all.
+	observed := to.Flight != nil || e.execM != nil
+	var start time.Time
+	if observed {
+		start = time.Now()
+	}
 	// tier and ro are closure-local per caller: the singleflight runs only
 	// the winning caller's closure (on its own goroutine), so waiters keep
 	// the TierMem default — they were indeed served from memory, even
@@ -594,7 +470,6 @@ func (e *Exec) runLadder(dev gpu.Device, k trace.KernelDesc, task KernelTask, to
 	tier := TierMem
 	var ro *RemoteObs
 	var shardPeer string
-	observed := to.Flight != nil || e.execM != nil
 	oc, err := e.mem.Do(key, func() (KernelOutcome, error) {
 		if raw, ok := e.store.Get(key); ok {
 			if oc, err := DecodeOutcome(raw); err == nil {
@@ -647,7 +522,15 @@ func (e *Exec) runLadder(dev gpu.Device, k trace.KernelDesc, task KernelTask, to
 		}
 		return oc, nil
 	})
-	return oc, tier, ro, shardPeer, err
+	if err != nil {
+		return oc, err
+	}
+	if observed {
+		end := time.Now()
+		e.execM.Observe(int(tier), end.Sub(start).Seconds())
+		e.record(to, key, tier, start, end, ro, shardPeer)
+	}
+	return oc, nil
 }
 
 // simPool recycles simulators across kernel tasks. A cold-start simulator

@@ -100,6 +100,34 @@ func TestTaskKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestTaskKeyPinned pins one content key byte for byte. Keys name the
+// entries of persisted artifact caches, so any change to what TaskKey
+// hashes, or how, orphans every cache on disk. Such a change must bump
+// taskSchema and update this literal on purpose.
+func TestTaskKeyPinned(t *testing.T) {
+	k := trace.KernelDesc{
+		ID:                3,
+		Name:              "pinned",
+		Grid:              trace.D2(640, 2),
+		Block:             trace.D1(256),
+		RegsPerThread:     32,
+		SharedMemPerBlock: 4096,
+		Mix: trace.InstrMix{GlobalLoads: 4, GlobalStores: 1, LocalLoads: 1, SharedLoads: 2,
+			SharedStores: 1, GlobalAtomics: 1, Compute: 150, TensorOps: 8},
+		CoalescingFactor: 4,
+		WorkingSetBytes:  8 << 20,
+		StridedFraction:  0.95,
+		DivergenceEff:    0.875,
+		BlockImbalance:   0.1,
+		Seed:             7,
+	}
+	task := KernelTask{Mode: ModePKA, MaxCycles: 100000, PKP: PKPSpec{Threshold: 0.25, Window: 1000}}
+	const want = "679d000057ec983d8f3352298177bade8d51cc31ff599afa13b955a8751d2a6e"
+	if got := TaskKey(gpu.VoltaV100(), &k, task); got != want {
+		t.Fatalf("TaskKey = %s, want %s", got, want)
+	}
+}
+
 func TestNewPKPSpecCanonicalizes(t *testing.T) {
 	got := NewPKPSpec(pkp.Options{})
 	want := PKPSpec{Threshold: pkp.DefaultThreshold, Window: pkp.DefaultWindow}
