@@ -23,10 +23,16 @@ test:
 # (singleflight, 64-goroutine stress, fuzz seed corpus) execute under
 # the detector without paying for the full artifact pipeline at ~10x
 # race overhead. `make test` covers the heavy paths (including the
-# parallel-vs-serial determinism golden) natively.
+# parallel-vs-serial determinism golden) natively. The streaming
+# speculator, the classifier ensemble (concurrent member fits, locked
+# vote cache) with its dedup consumer, and pks's two-level paths (holdout
+# probe and final fit overlap) race too. Same lines as CI's Race step.
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/obs/... ./internal/serve/...
 	$(GO) test -race -short ./internal/experiments/... ./internal/workload/...
+	$(GO) test -race -run 'Stream|Speculator' ./internal/core/... ./internal/pks/... ./internal/sampling/...
+	$(GO) test -race ./internal/classify/... ./internal/dedup/...
+	$(GO) test -race -short -run 'TwoLevel|MaxDetailed|Golden' ./internal/pks/...
 
 # Snapshot the perf trajectory: substrate microbenchmarks at full benchtime
 # (BenchmarkSimTick's allocs/op==0 only means something once setup costs

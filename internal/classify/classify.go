@@ -7,8 +7,10 @@
 package classify
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 
 	"pka/internal/stats"
 )
@@ -65,9 +67,32 @@ func argmax(xs []float64) int {
 // Ensemble predicts with a majority vote over its members; ties break
 // toward the member listed first (the paper's pipeline treats the three
 // models as interchangeable, so tie policy only needs to be deterministic).
+//
+// Fit trains the members concurrently, one goroutine each. That is safe
+// because every member owns its RNG, scaler and scaled copy of the rows
+// and only reads the shared X and y, so each member runs exactly the FP
+// operations, in exactly the order, it would run alone; Members must
+// therefore be distinct values. Errors come back in member order.
+//
+// Predict memoizes the vote per distinct feature vector, keyed by the
+// exact bits of x: a fitted ensemble's vote is a pure function of x, so a
+// cached answer equals the uncached one by construction. Two-level tails
+// repeat a handful of launch shapes hundreds of thousands of times, so
+// nearly every call is a hit, and a hit allocates nothing. Fit clears the
+// cache. Predict is safe for concurrent use; Fit is not safe to run
+// alongside Predict or another Fit.
 type Ensemble struct {
 	Members []Classifier
+
+	mu    sync.Mutex
+	key   []byte         // reused buffer holding the bits of the last x
+	votes map[string]int // cached vote by the bits of x
 }
+
+// maxCachedVotes bounds the vote cache so that a stream of all-distinct
+// feature vectors costs memory no larger than this many entries; past
+// the bound Predict still answers exactly, it just stops remembering.
+const maxCachedVotes = 1 << 16
 
 // NewEnsemble builds the paper's three-model ensemble with a shared seed.
 func NewEnsemble(seed uint64) *Ensemble {
@@ -81,21 +106,68 @@ func NewEnsemble(seed uint64) *Ensemble {
 // Name implements Classifier.
 func (e *Ensemble) Name() string { return "ensemble(sgd,gnb,mlp)" }
 
-// Fit trains every member on the same data.
+// Fit trains every member on the same data, concurrently, and clears the
+// prediction cache. If several members fail, the first-listed one's error
+// is returned.
 func (e *Ensemble) Fit(X [][]float64, y []int, numClasses int) error {
 	if len(e.Members) == 0 {
 		return errors.New("classify: ensemble has no members")
 	}
-	for _, m := range e.Members {
-		if err := m.Fit(X, y, numClasses); err != nil {
+	e.mu.Lock()
+	e.votes = nil
+	e.mu.Unlock()
+	errs := make([]error, len(e.Members))
+	var wg sync.WaitGroup
+	for i, m := range e.Members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m.Fit(X, y, numClasses)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Predict returns the majority vote of the members.
+// Predict returns the majority vote of the members (0 when there are
+// none, like an unfitted member).
 func (e *Ensemble) Predict(x []float64) int {
+	if len(e.Members) == 0 {
+		return 0
+	}
+	e.mu.Lock()
+	e.key = e.key[:0]
+	for _, v := range x {
+		e.key = binary.LittleEndian.AppendUint64(e.key, math.Float64bits(v))
+	}
+	if p, ok := e.votes[string(e.key)]; ok {
+		e.mu.Unlock()
+		return p
+	}
+	key := string(e.key)
+	e.mu.Unlock()
+
+	// Poll the members unlocked: they are caller-supplied code, and
+	// concurrent misses need not queue behind one another.
+	p := e.vote(x)
+	e.mu.Lock()
+	if e.votes == nil {
+		e.votes = make(map[string]int)
+	}
+	if len(e.votes) < maxCachedVotes {
+		e.votes[key] = p
+	}
+	e.mu.Unlock()
+	return p
+}
+
+// vote polls every member; Predict caches its result.
+func (e *Ensemble) vote(x []float64) int {
 	votes := map[int]int{}
 	order := make([]int, 0, len(e.Members))
 	for _, m := range e.Members {

@@ -151,6 +151,9 @@ func TestEnsembleMajority(t *testing.T) {
 	if err := empty.Fit([][]float64{{1}}, []int{0}, 1); err == nil {
 		t.Error("empty ensemble Fit did not error")
 	}
+	if got := empty.Predict([]float64{1}); got != 0 {
+		t.Errorf("empty ensemble Predict = %d, want 0", got)
+	}
 }
 
 type fixed int

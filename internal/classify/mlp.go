@@ -74,28 +74,32 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 			for h := range dHidden {
 				dHidden[h] = 0
 			}
+			// lr*grad is hoisted out of the inner loops: Go evaluates
+			// lr * grad * v as (lr*grad)*v, so the hoist is bit-exact.
 			for c := 0; c < numClasses; c++ {
 				grad := probs[c]
 				if c == y[i] {
 					grad -= 1
 				}
-				w := m.w2[c]
-				for h := 0; h < m.Hidden; h++ {
+				step := lr * grad
+				w := m.w2[c][:len(hidden)]
+				for h, a := range hidden {
 					dHidden[h] += grad * w[h]
-					w[h] -= lr * grad * hidden[h]
+					w[h] -= step * a
 				}
-				m.b2[c] -= lr * grad
+				m.b2[c] -= step
 			}
 			// Hidden layer gradient through ReLU.
-			for h := 0; h < m.Hidden; h++ {
-				if hidden[h] <= 0 {
+			for h, a := range hidden {
+				if a <= 0 {
 					continue
 				}
-				w := m.w1[h]
+				step := lr * dHidden[h]
+				w := m.w1[h][:len(x)]
 				for j, v := range x {
-					w[j] -= lr * dHidden[h] * v
+					w[j] -= step * v
 				}
-				m.b1[h] -= lr * dHidden[h]
+				m.b1[h] -= step
 			}
 		}
 	}
@@ -104,9 +108,10 @@ func (m *MLP) Fit(X [][]float64, y []int, numClasses int) error {
 
 // forward computes hidden activations and class probabilities in place.
 func (m *MLP) forward(x, hidden, probs []float64) {
-	for h := 0; h < m.Hidden; h++ {
+	hidden = hidden[:m.Hidden]
+	for h := range hidden {
 		sum := m.b1[h]
-		w := m.w1[h]
+		w := m.w1[h][:len(x)]
 		for j, v := range x {
 			sum += w[j] * v
 		}
@@ -118,9 +123,9 @@ func (m *MLP) forward(x, hidden, probs []float64) {
 	maxLogit := math.Inf(-1)
 	for c := 0; c < m.numClasses; c++ {
 		sum := m.b2[c]
-		w := m.w2[c]
-		for h := 0; h < m.Hidden; h++ {
-			sum += w[h] * hidden[h]
+		w := m.w2[c][:len(hidden)]
+		for h, a := range hidden {
+			sum += w[h] * a
 		}
 		probs[c] = sum
 		if sum > maxLogit {

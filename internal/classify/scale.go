@@ -4,10 +4,9 @@ import "math"
 
 // Scaler standardizes feature vectors with training-set statistics
 // (subtract the column mean, divide by the column's population standard
-// deviation). It is the one shared feature-scaling helper for every
-// consumer of profiler feature spaces — the classifiers in this package
-// and the learned outcome predictor — so "standardized features" means
-// the same thing everywhere a model is trained or applied.
+// deviation). The SGD and MLP classifiers share it, so "standardized
+// features" means the same thing for every model this package trains
+// or applies.
 type Scaler struct {
 	Mean  []float64 `json:"mean"`
 	Scale []float64 `json:"scale"`

@@ -468,6 +468,12 @@ func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 	assignment = labels
 	numClasses := len(sel.Groups)
 
+	// The final ensemble does not depend on the holdout probe (both only
+	// read X), so it fits while the probe fits and scores.
+	ens := classify.NewEnsemble(o.Seed)
+	fitErr := make(chan error, 1)
+	go func() { fitErr <- ens.Fit(X, assignment, numClasses) }()
+
 	// Holdout accuracy: train on 80%, test on the strided 20%.
 	if len(detailed) >= 10 && numClasses > 1 {
 		var trX, teX [][]float64
@@ -481,6 +487,7 @@ func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 		}
 		probe := classify.NewEnsemble(o.Seed)
 		if err := probe.Fit(trX, trY, numClasses); err != nil {
+			<-fitErr
 			return fmt.Errorf("pks: classifier holdout: %w", err)
 		}
 		sel.ClassifierAccuracy = classify.Accuracy(probe, teX, teY)
@@ -488,8 +495,7 @@ func mapLightKernels(sel *Selection, detailed []profiler.DetailedRecord, sharedM
 		sel.ClassifierAccuracy = 1
 	}
 
-	ens := classify.NewEnsemble(o.Seed)
-	if err := ens.Fit(X, assignment, numClasses); err != nil {
+	if err := <-fitErr; err != nil {
 		return fmt.Errorf("pks: classifier training: %w", err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"pka/internal/trace"
@@ -118,7 +119,11 @@ func LoadJSON(path string) (*SelectionFile, error) {
 	return ReadJSON(f)
 }
 
-// Validate checks the invariants a consumer relies on.
+// Validate checks the invariants a consumer relies on: every group's
+// population is positive and the populations sum exactly to TotalKernels
+// (each term is bounded by what is left of the total, so no sum can
+// wrap), each weight is its group's share Count/TotalKernels, and the
+// detailed prefix lies within the workload.
 func (f *SelectionFile) Validate() error {
 	if f.Version != currentVersion {
 		return fmt.Errorf("pks: unsupported selection file version %d", f.Version)
@@ -129,26 +134,32 @@ func (f *SelectionFile) Validate() error {
 	if len(f.Groups) == 0 {
 		return fmt.Errorf("pks: selection file has no groups")
 	}
+	if f.DetailedKernels < 0 || f.DetailedKernels > f.TotalKernels {
+		return fmt.Errorf("pks: %d detailed kernels out of range [0,%d]", f.DetailedKernels, f.TotalKernels)
+	}
 	total := 0
-	var weight float64
 	for i, g := range f.Groups {
 		if g.RepKernelID < 0 || g.RepKernelID >= f.TotalKernels {
 			return fmt.Errorf("pks: group %d representative id %d out of range [0,%d)", i, g.RepKernelID, f.TotalKernels)
 		}
-		if g.Count <= 0 {
-			return fmt.Errorf("pks: group %d has population %d", i, g.Count)
+		if g.Count <= 0 || g.Count > f.TotalKernels-total {
+			return fmt.Errorf("pks: group %d population %d out of range [1,%d]", i, g.Count, f.TotalKernels-total)
 		}
 		total += g.Count
-		weight += g.Weight
+		share := float64(g.Count) / float64(f.TotalKernels)
+		if !(math.Abs(g.Weight-share) <= weightTolerance) {
+			return fmt.Errorf("pks: group %d weight %v, want %v (count/total)", i, g.Weight, share)
+		}
 	}
 	if total != f.TotalKernels {
 		return fmt.Errorf("pks: group populations sum to %d, want %d", total, f.TotalKernels)
 	}
-	if weight < 0.999 || weight > 1.001 {
-		return fmt.Errorf("pks: group weights sum to %.4f, want 1", weight)
-	}
 	return nil
 }
+
+// weightTolerance is how far a group weight may sit from Count/TotalKernels
+// (files written by WriteJSON hold the exact quotient).
+const weightTolerance = 1e-9
 
 // RepresentativeDims returns the representative launch dims of group i as
 // trace types, for reconstructing simulator inputs.
