@@ -9,11 +9,16 @@
 //	go test -bench=. -benchmem ./... | benchjson -o BENCH_study.json
 //
 // It can also gate on a committed snapshot: with -baseline and -check it
-// compares the named benchmarks' ns/op against the baseline file and exits
+// compares the named benchmarks against the baseline file and exits
 // nonzero when any regresses by more than -tolerance percent, so CI can
-// catch performance regressions with one short bench run:
+// catch performance regressions with one short bench run. Each side's
+// ns/op is first divided by the same side's SiliconModel ns/op — a pure-CPU,
+// allocation-free yardstick run in the same invocation — so the gate
+// measures the code's speed relative to the machine, not the machine. A
+// run or baseline without the yardstick is an error:
 //
-//	go test -bench 'SimulatorThroughput|KMeansSweep' . | \
+//	{ go test -bench 'SimulatorThroughput|KMeansSweep' -benchtime 5x . ; \
+//	  go test -bench SiliconModel . ; } | \
 //	  benchjson -baseline BENCH_study.json -check SimulatorThroughput,KMeansSweep
 //
 // -check-ratio gates on relative speed between two benchmarks of the
@@ -80,8 +85,8 @@ type Snapshot struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "committed snapshot to compare against")
-	check := flag.String("check", "", "comma-separated benchmark names to gate on ns/op")
-	tolerance := flag.Float64("tolerance", 25, "allowed ns/op regression vs baseline, percent")
+	check := flag.String("check", "", "comma-separated benchmark names to gate on ns/op relative to the "+yardstick+" yardstick")
+	tolerance := flag.Float64("tolerance", 25, "allowed regression of yardstick-relative ns/op vs baseline, percent")
 	checkRatio := flag.String("check-ratio", "", "comma-separated NUM:DEN:MIN[:MINCPU] specs requiring ns/op(NUM)/ns/op(DEN) >= MIN in this run")
 	checkMaxRatio := flag.String("check-max-ratio", "", "comma-separated NUM:DEN:MAX[:MINCPU] specs requiring ns/op(NUM)/ns/op(DEN) <= MAX in this run")
 	checkMetricRatio := flag.String("check-metric-ratio", "", "comma-separated METRIC:NUM:DEN:MIN[:MINCPU] specs requiring METRIC(NUM)/METRIC(DEN) >= MIN in this run")
@@ -128,7 +133,15 @@ func main() {
 		if *baseline == "" {
 			fatal(fmt.Errorf("-check requires -baseline"))
 		}
-		if err := checkRegressions(&snap, *baseline, *check, *tolerance); err != nil {
+		raw, err := os.ReadFile(*baseline)
+		if err != nil {
+			fatal(err)
+		}
+		var base Snapshot
+		if err := json.Unmarshal(raw, &base); err != nil {
+			fatal(fmt.Errorf("parse %s: %w", *baseline, err))
+		}
+		if err := checkRegressions(&snap, &base, *check, *tolerance); err != nil {
 			fatal(err)
 		}
 	}
@@ -353,19 +366,17 @@ func checkMetricRatios(snap *Snapshot, specs string, ncpu int) error {
 	return nil
 }
 
-// checkRegressions compares the named benchmarks' ns/op in snap against
-// the baseline snapshot, failing when any is more than tolerance percent
-// slower. Names absent from either side are hard errors — a gate that
-// silently skips a renamed benchmark is worse than no gate.
-func checkRegressions(snap *Snapshot, baselinePath, names string, tolerance float64) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base Snapshot
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", baselinePath, err)
-	}
+// yardstick is the benchmark -check divides every ns/op by: the
+// analytical silicon model is pure CPU and allocates nothing, so it tracks
+// the host's speed and not the simulator's code.
+const yardstick = "SiliconModel"
+
+// checkRegressions compares the named benchmarks in snap against the
+// baseline snapshot by ns/op relative to each side's yardstick, failing
+// when any is more than tolerance percent slower. Names absent from either
+// side are hard errors — a gate that silently skips a renamed benchmark
+// (or its yardstick) is worse than no gate.
+func checkRegressions(snap, base *Snapshot, names string, tolerance float64) error {
 	find := func(bs []Benchmark, name string) *Benchmark {
 		for i := range bs {
 			if bs[i].Name == name {
@@ -374,15 +385,25 @@ func checkRegressions(snap *Snapshot, baselinePath, names string, tolerance floa
 		}
 		return nil
 	}
+	baseYard, curYard := find(base.Benchmarks, yardstick), find(snap.Benchmarks, yardstick)
+	switch {
+	case baseYard == nil || baseYard.NsPerOp <= 0:
+		return fmt.Errorf("yardstick %q has no ns/op in the baseline", yardstick)
+	case curYard == nil || curYard.NsPerOp <= 0:
+		return fmt.Errorf("yardstick %q has no ns/op in the current run", yardstick)
+	}
 	var failures []string
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
+		if name == yardstick {
+			return fmt.Errorf("benchmark %q is the yardstick and cannot gate itself", name)
+		}
 		b := find(base.Benchmarks, name)
 		if b == nil {
-			return fmt.Errorf("benchmark %q not in baseline %s", name, baselinePath)
+			return fmt.Errorf("benchmark %q not in baseline", name)
 		}
 		cur := find(snap.Benchmarks, name)
 		if cur == nil {
@@ -391,16 +412,16 @@ func checkRegressions(snap *Snapshot, baselinePath, names string, tolerance floa
 		if b.NsPerOp <= 0 || cur.NsPerOp <= 0 {
 			return fmt.Errorf("benchmark %q has no ns/op to compare", name)
 		}
-		limit := b.NsPerOp * (1 + tolerance/100)
-		pct := (cur.NsPerOp/b.NsPerOp - 1) * 100
-		if cur.NsPerOp > limit {
+		baseRel, curRel := b.NsPerOp/baseYard.NsPerOp, cur.NsPerOp/curYard.NsPerOp
+		pct := (curRel/baseRel - 1) * 100
+		if curRel > baseRel*(1+tolerance/100) {
 			failures = append(failures, fmt.Sprintf(
-				"%s regressed %.1f%%: %.0f ns/op vs baseline %.0f ns/op (tolerance %.0f%%)",
-				name, pct, cur.NsPerOp, b.NsPerOp, tolerance))
+				"%s regressed %.1f%% relative to %s: %.0f ns/op over %.1f ns/op vs baseline %.0f over %.1f (tolerance %.0f%%)",
+				name, pct, yardstick, cur.NsPerOp, curYard.NsPerOp, b.NsPerOp, baseYard.NsPerOp, tolerance))
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %s ok: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%)\n",
-			name, cur.NsPerOp, b.NsPerOp, pct)
+		fmt.Fprintf(os.Stderr, "benchjson: %s ok relative to %s: %.0f ns/op over %.1f ns/op vs baseline %.0f over %.1f (%+.1f%%)\n",
+			name, yardstick, cur.NsPerOp, curYard.NsPerOp, b.NsPerOp, baseYard.NsPerOp, pct)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("regression gate failed:\n  %s", strings.Join(failures, "\n  "))

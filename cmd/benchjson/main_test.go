@@ -97,3 +97,49 @@ func TestParseBenchLine(t *testing.T) {
 		t.Error("non-bench line accepted")
 	}
 }
+
+func TestCheckRegressionsNormalizesByYardstick(t *testing.T) {
+	base := &Snapshot{Benchmarks: []Benchmark{
+		{Name: "SimulatorThroughput", NsPerOp: 100e6},
+		{Name: yardstick, NsPerOp: 100},
+	}}
+	run := func(simNs, yardNs float64) *Snapshot {
+		return &Snapshot{Benchmarks: []Benchmark{
+			{Name: "SimulatorThroughput", NsPerOp: simNs},
+			{Name: yardstick, NsPerOp: yardNs},
+		}}
+	}
+	if err := checkRegressions(run(100e6, 100), base, "SimulatorThroughput", 25); err != nil {
+		t.Errorf("unchanged run failed: %v", err)
+	}
+	// 30% slower on the same machine: a regression.
+	err := checkRegressions(run(130e6, 100), base, "SimulatorThroughput", 25)
+	if err == nil || !strings.Contains(err.Error(), "regressed 30.0%") {
+		t.Errorf("30%% slowdown with the same yardstick: err = %v", err)
+	}
+	// The same 30% on a machine whose yardstick is 60% slower: the code
+	// got faster relative to the host.
+	if err := checkRegressions(run(130e6, 160), base, "SimulatorThroughput", 25); err != nil {
+		t.Errorf("30%% slowdown on a 60%% slower host failed: %v", err)
+	}
+}
+
+func TestCheckRegressionsNeedsYardstick(t *testing.T) {
+	full := &Snapshot{Benchmarks: []Benchmark{
+		{Name: "KMeansSweep", NsPerOp: 5e6},
+		{Name: yardstick, NsPerOp: 80},
+	}}
+	bare := &Snapshot{Benchmarks: []Benchmark{{Name: "KMeansSweep", NsPerOp: 5e6}}}
+	if err := checkRegressions(bare, full, "KMeansSweep", 25); err == nil {
+		t.Error("run without the yardstick passed")
+	}
+	if err := checkRegressions(full, bare, "KMeansSweep", 25); err == nil {
+		t.Error("baseline without the yardstick passed")
+	}
+	if err := checkRegressions(full, full, yardstick, 25); err == nil {
+		t.Error("the yardstick gated itself")
+	}
+	if err := checkRegressions(full, full, "NoSuchBench", 25); err == nil {
+		t.Error("absent benchmark name passed silently")
+	}
+}

@@ -299,9 +299,14 @@ func EvaluateWithSelection(cfg Config, w *workload.Workload, sel *pks.Selection)
 		sp := cfg.Obs.StartSpan("full-sim", w.FullName())
 		defer sp.End()
 		var tobs func(i int) sampling.TaskObs
-		if cfg.Flight != nil || cfg.Trace.Valid() {
+		if cfg.Obs != nil || cfg.Flight != nil || cfg.Trace.Valid() {
+			var simObs *obs.SimObs
+			if cfg.Obs != nil {
+				simObs = cfg.Obs.SimObs("sim:full:" + w.FullName())
+			}
 			tobs = func(i int) sampling.TaskObs {
 				to := cfg.TaskTrace("full")
+				to.Sim = simObs
 				to.Index = i
 				return to
 			}

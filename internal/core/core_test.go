@@ -3,8 +3,12 @@ package core
 import (
 	"testing"
 
+	"pka/internal/artifact"
 	"pka/internal/gpu"
+	"pka/internal/obs"
+	"pka/internal/parallel"
 	"pka/internal/pks"
+	"pka/internal/sampling"
 	"pka/internal/workload"
 )
 
@@ -143,5 +147,35 @@ func TestPKAFasterOnLongKernels(t *testing.T) {
 	if withPKP.SimWarpInstrs >= noPKP.SimWarpInstrs {
 		t.Errorf("PKP did not cut the long kernel: %d vs %d warp instrs",
 			withPKP.SimWarpInstrs, noPKP.SimWarpInstrs)
+	}
+}
+
+// TestSimKernelsMatchSimTier: every fresh simulation reports through the
+// simulator's hooks, full simulation included, so on a cold store the
+// pka_sim_kernels_total counter equals the Exec ladder's sim-tier count
+// within one process. Before full-sim tasks were wired, gauss_208 read 2
+// kernels against 416 sim-tier tasks.
+func TestSimKernelsMatchSimTier(t *testing.T) {
+	store, err := artifact.Open(t.TempDir(), artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	exec := sampling.NewExec(parallel.NewScheduler(2), store)
+	exec.SetMetrics(o.ExecMetrics())
+	c := cfg()
+	c.Obs = o
+	c.Exec = exec
+	ev, err := Evaluate(c, workload.Find("Rodinia/gauss_208"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simTier := o.ExecMetrics().Tasks[sampling.TierSim].Value()
+	kernels := o.SimMetrics().Kernels.Value()
+	if simTier != kernels {
+		t.Errorf("pka_sim_kernels_total = %d, sim-tier tasks = %d", kernels, simTier)
+	}
+	if min := int64(ev.Full.KernelsSimulated); kernels <= min {
+		t.Errorf("pka_sim_kernels_total = %d, want above the %d full-sim kernels", kernels, min)
 	}
 }

@@ -99,12 +99,18 @@ func RunWithSelection(exec *sampling.Exec, o *obs.Observer, req *StudyRequest, s
 	switch req.Mode {
 	case "full":
 		var tobs func(i int) sampling.TaskObs
-		if flight != nil {
+		if o != nil || flight != nil {
+			var simObs *obs.SimObs
+			if o != nil {
+				simObs = o.SimObs("sim:full:" + req.w.FullName())
+			}
 			tobs = func(i int) sampling.TaskObs {
-				return sampling.TaskObs{
-					Flight: flight, Phase: "full", Index: i,
-					Tracer: tr, Trace: tc, IDs: ids,
+				to := sampling.TaskObs{Sim: simObs}
+				if flight != nil {
+					to.Flight, to.Phase, to.Index = flight, "full", i
+					to.Tracer, to.Trace, to.IDs = tr, tc, ids
 				}
+				return to
 			}
 		}
 		full, err := exec.FullSimObs(req.dev, req.w, 0, tobs)

@@ -125,7 +125,22 @@ func goldenCases() []goldenCase {
 		DivergenceEff: 0.93, Seed: 909,
 	}
 
+	// No registry device holds more than 64 warps per SM, so this variant
+	// pins the multi-word ready set and timing-wheel buckets: 128 warp
+	// slots per SM, 126 of them used by 192-thread blocks and 125 by
+	// 160-thread blocks (a partial last word). Four SMs keep every slot
+	// busy for several waves.
+	wide := gpu.VoltaV100().WithSMs(4)
+	wide.Name = "Tesla V100 (4 SMs, 128 warps/SM)"
+	wide.MaxWarpsPerSM = 128
+	wide.MaxThreadsPerSM = 4096
+
 	return []goldenCase{
+		{
+			name: "wide-sm-volta", dev: wide,
+			kernels: []trace.KernelDesc{allOps, oddWS},
+			want:    0xac39b9991768227d,
+		},
 		{
 			name: "all-ops-volta", dev: gpu.VoltaV100(),
 			kernels: []trace.KernelDesc{allOps},
@@ -197,4 +212,25 @@ func TestGoldenTelemetryHashes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenWideCaseSpansWords guards the wide-sm golden case: its kernels
+// must occupy more than 64 warp slots per SM and more blocks than one wave
+// holds, or the case would stop pinning the multi-word path.
+func TestGoldenWideCaseSpansWords(t *testing.T) {
+	for _, tc := range goldenCases() {
+		if tc.name != "wide-sm-volta" {
+			continue
+		}
+		for i := range tc.kernels {
+			k := &tc.kernels[i]
+			occ := tc.dev.ComputeOccupancy(k.Resources())
+			if occ.WarpsPerSM <= 64 || k.Grid.Count() <= occ.BlocksPerSM*tc.dev.NumSMs {
+				t.Errorf("%s: %d warps/SM, %d blocks for a wave of %d", k.Name,
+					occ.WarpsPerSM, k.Grid.Count(), occ.BlocksPerSM*tc.dev.NumSMs)
+			}
+		}
+		return
+	}
+	t.Fatal("wide-sm-volta case missing")
 }

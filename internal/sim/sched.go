@@ -5,36 +5,43 @@ import (
 	"math/bits"
 )
 
-// This file holds the event-driven scheduler's two data structures. The
+// This file holds the event-driven scheduler's data structures. The
 // cycle loop used to rescan every warp slot of an SM on every active cycle
 // — O(warps) work to find the ≤SchedulersPerSM warps that can actually
-// issue. Instead, each SM now keeps:
+// issue. Instead, each SM keeps:
 //
 //   - a readySet bitset of warps whose stall has expired (nextReady <= now),
 //     iterated in round-robin index order starting at rrPtr so the issue
-//     order is identical to the old linear scan's, and
-//   - a wakeHeap of sleeping warps keyed on nextReady, so advancing the
-//     clock touches only the warps whose stalls expire this cycle and the
-//     SM's next-event time (minReady) is the heap top, for free.
+//     order is identical to the old linear scan's,
+//   - a bitmask timing wheel for near wakes: wheelSize buckets, each a warp
+//     bitmask the width of the ready set, plus one occupancy word with a bit
+//     per non-empty bucket. Sleeping is two ORs, draining ORs the due
+//     buckets into the ready set, and the next near wake is a rotate plus a
+//     trailing-zero count, and
+//   - a wakeHeap of far wakes keyed on nextReady.
 //
-// Both are sized once per kernel (each warp occupies at most one heap slot
-// and one bit), so the cycle loop stays allocation-free.
+// Wake order within a cycle is irrelevant — every due warp reaches the
+// ready set before any issue decision, and issue order is the ready set's
+// index order alone — so a bucket needs no order among its warps. The
+// simulator keeps each SM's next event time in a packed array beside the
+// SMs (see Simulator.smNext), computed from nextWake when the SM idles.
+//
+// All of it is sized once per kernel (each warp holds at most one wheel
+// bit or one heap slot), so the cycle loop stays allocation-free.
 
 // wheelSize is the horizon of the per-SM timing wheel. Stalls shorter than
 // this (ALU, tensor, shared memory, L1/scoreboard — the overwhelming
-// majority of issues) are parked in an O(1) bucket ring instead of the
-// heap; only far wakes (L2 and DRAM round trips) pay the O(log n) heap.
+// majority of issues) are parked in an O(1) bucket instead of the heap;
+// only far wakes (L2 and DRAM round trips) pay the O(log n) heap. It must
+// stay 64: the occupancy word has one bit per bucket.
 const wheelSize = 64
 
-// sleep parks warp idx until cycle at (> now). Wake order within a cycle
-// is irrelevant — drain moves every due warp to the ready set before any
-// issue decision — so bucket lists need no internal ordering.
+// sleep parks warp idx until cycle at (> now).
 func (sm *smState) sleep(at, now int64, idx int32) {
 	if at-now < wheelSize {
-		b := at & (wheelSize - 1)
-		sm.warps[idx].wakeNext = sm.wheel[b]
-		sm.wheel[b] = idx
-		sm.wheelLive++
+		b := int(at & (wheelSize - 1))
+		sm.wheel[b*len(sm.ready)+int(idx>>6)] |= 1 << (uint(idx) & 63)
+		sm.wheelOcc |= 1 << uint(b)
 		return
 	}
 	sm.wake.push(at, idx)
@@ -43,21 +50,25 @@ func (sm *smState) sleep(at, now int64, idx int32) {
 // drain moves every warp due at or before now into the ready set. Wheel
 // entries always satisfy at ∈ (lastDrain, lastDrain+wheelSize) — sleeps
 // only happen while the SM is being processed, i.e. after a drain at the
-// same cycle — so scanning the buckets for (lastDrain, now] clipped to the
-// last wheelSize cycles visits every due entry exactly once.
+// same cycle — so each bucket holds warps of a single wake cycle, and the
+// buckets of cycles (lastDrain, now], all of them once that range spans
+// wheelSize cycles, hold exactly the due warps.
 func (sm *smState) drain(now int64) {
-	if sm.wheelLive > 0 {
-		from := now - wheelSize + 1
-		if l := sm.lastDrain + 1; l > from {
-			from = l
+	if sm.wheelOcc != 0 {
+		due := sm.wheelOcc
+		if span := now - sm.lastDrain; span < wheelSize {
+			due &= bits.RotateLeft64(1<<uint(span)-1, int((sm.lastDrain+1)&(wheelSize-1)))
 		}
-		for c := from; c <= now; c++ {
-			b := c & (wheelSize - 1)
-			for idx := sm.wheel[b]; idx >= 0; idx = sm.warps[idx].wakeNext {
-				sm.ready.set(int(idx))
-				sm.wheelLive--
+		sm.wheelOcc &^= due
+		n := len(sm.ready)
+		for due != 0 {
+			b := bits.TrailingZeros64(due)
+			due &= due - 1
+			bucket := sm.wheel[b*n : b*n+n]
+			for j, m := range bucket {
+				sm.ready[j] |= m
+				bucket[j] = 0
 			}
-			sm.wheel[b] = -1
 		}
 	}
 	sm.lastDrain = now
@@ -67,17 +78,15 @@ func (sm *smState) drain(now int64) {
 }
 
 // nextWake returns the earliest pending wake time after now, or
-// math.MaxInt64 when no warp is sleeping. Called only when the SM idles
-// (no ready warp, no fresh block), which is rare on busy SMs.
+// math.MaxInt64 when no warp is sleeping. Called only right after a drain
+// at now, when every wheel entry lies in (now, now+wheelSize), and only
+// when the SM idles (no ready warp, no fresh block).
 func (sm *smState) nextWake(now int64) int64 {
 	min := int64(math.MaxInt64)
-	if sm.wheelLive > 0 {
-		for off := int64(1); off < wheelSize; off++ {
-			if sm.wheel[(now+off)&(wheelSize-1)] >= 0 {
-				min = now + off
-				break
-			}
-		}
+	if sm.wheelOcc != 0 {
+		// Bit k of the rotated word is the bucket of cycle now+1+k.
+		r := bits.RotateLeft64(sm.wheelOcc, -int((now+1)&(wheelSize-1)))
+		min = now + 1 + int64(bits.TrailingZeros64(r))
 	}
 	if len(sm.wake) > 0 && sm.wake[0].at < min {
 		min = sm.wake[0].at

@@ -128,20 +128,24 @@ type Simulator struct {
 	dram *mem.DRAM
 	l1   []*mem.Cache
 	sms  []smState
+	// smNext[i] is SM i's next event cycle, or math.MaxInt64 while it
+	// holds no block. The cycle loop skips an SM and finds the next idle
+	// jump from this packed array without touching the SM's own state.
+	smNext []int64
 }
 
+// warpSlot is one warp's scheduling and address state, laid out to fill
+// exactly one 64-byte host cache line.
 type warpSlot struct {
 	nextReady  int64
-	pending    int64 // completion time of the older in-flight load (0 = none)
+	pending    int64   // completion time of the older in-flight load (0 = none)
+	cursor     uint64  // strided address cursor (in sectors)
+	base       uint64  // strided base address
+	rng        uint64  // per-warp xorshift state
+	threadsPer float64 // thread instructions per warp instruction
 	instrLeft  int32
 	patPos     int32
-	active     bool
-	cursor     uint64 // strided address cursor (in sectors)
-	base       uint64 // strided base address
-	rng        uint64 // per-warp xorshift state
 	blockSlot  int32
-	wakeNext   int32   // intrusive link in the timing wheel's bucket list
-	threadsPer float64 // thread instructions per warp instruction
 }
 
 type blockSlotState struct {
@@ -152,18 +156,19 @@ type blockSlotState struct {
 type smState struct {
 	warps    []warpSlot
 	blocks   []blockSlotState
-	minReady int64
 	resident int // live blocks
 	rrPtr    int
 	// Event-driven scheduler state (see sched.go): ready holds warps whose
 	// stall has expired; sleeping warps sit either in the timing wheel
 	// (wakes within wheelSize cycles — ALU, shared-memory, cache-hit
 	// stalls) or in the wake heap (far wakes: DRAM and L2 round trips).
-	ready     readySet
-	wake      wakeHeap
-	wheel     []int32 // wheelSize bucket heads (-1 = empty), linked via wakeNext
-	wheelLive int     // warps currently in the wheel
-	lastDrain int64   // cycle up to which wheel buckets have been emptied
+	ready readySet
+	wake  wakeHeap
+	// wheel holds wheelSize warp bitmasks of len(ready) words each:
+	// bucket b is wheel[b*len(ready) : (b+1)*len(ready)].
+	wheel     []uint64
+	wheelOcc  uint64 // bit b set iff bucket b holds a warp
+	lastDrain int64  // cycle up to which wheel buckets have been emptied
 }
 
 // runCtx holds the per-kernel constants of the cycle loop, precomputed
@@ -184,11 +189,12 @@ type runCtx struct {
 // New creates a simulator for the given device.
 func New(dev gpu.Device) *Simulator {
 	s := &Simulator{
-		dev:  dev,
-		l2:   mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
-		dram: mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
-		l1:   make([]*mem.Cache, dev.NumSMs),
-		sms:  make([]smState, dev.NumSMs),
+		dev:    dev,
+		l2:     mem.NewCache(dev.L2SizeBytes, 16, dev.CacheLineBytes),
+		dram:   mem.NewDRAM(dev.BytesPerCycle(), dev.DRAMLatency),
+		l1:     make([]*mem.Cache, dev.NumSMs),
+		sms:    make([]smState, dev.NumSMs),
+		smNext: make([]int64, dev.NumSMs),
 	}
 	for i := range s.l1 {
 		s.l1[i] = mem.NewCache(dev.L1SizeBytes, 8, dev.CacheLineBytes)
@@ -351,17 +357,19 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		} else {
 			sm.wake = make(wakeHeap, 0, nw)
 		}
-		if sm.wheel == nil {
-			sm.wheel = make([]int32, wheelSize)
+		if cap(sm.wheel) >= wheelSize*words {
+			sm.wheel = sm.wheel[:wheelSize*words]
+			for j := range sm.wheel {
+				sm.wheel[j] = 0
+			}
+		} else {
+			sm.wheel = make([]uint64, wheelSize*words)
 		}
-		for j := range sm.wheel {
-			sm.wheel[j] = -1
-		}
-		sm.wheelLive = 0
+		sm.wheelOcc = 0
 		sm.lastDrain = 0
-		sm.minReady = 0
 		sm.resident = 0
 		sm.rrPtr = 0
+		s.smNext[i] = math.MaxInt64
 	}
 
 	nextBlock := 0
@@ -384,7 +392,6 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			*ws = warpSlot{
 				nextReady:  now + 20, // block launch / pipe fill latency
 				instrLeft:  instr,
-				active:     true,
 				base:       (gw * 517) % wsLines * uint64(s.dev.CacheLineBytes),
 				rng:        k.Seed ^ (gw+1)*0xA24BAED4963EE407,
 				blockSlot:  int32(slot),
@@ -392,7 +399,7 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			}
 			sm.sleep(now+20, now, int32(idx))
 		}
-		sm.minReady = now
+		s.smNext[smIdx] = now
 	}
 
 	// Fill the initial wave breadth-first across SMs, the way the hardware
@@ -440,11 +447,11 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 	for completed < blocksTotal && now < maxCycles {
 		issuedCycle := 0
 
-		for i := 0; i < numSMs; i++ {
-			sm := &s.sms[i]
-			if sm.resident == 0 || sm.minReady > now {
+		for i, next := range s.smNext {
+			if next > now {
 				continue
 			}
+			sm := &s.sms[i]
 			// Wake every warp whose stall expires at or before now: O(1)
 			// per wake, once per issued instruction over the whole run —
 			// not once per warp per cycle.
@@ -454,9 +461,10 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			dispatched := false
 			// deadMin carries the post-issue nextReady of warps that retire
 			// on this cycle: the linear-scan implementation min-folded that
-			// value into minReady before noticing the warp had finished, so
-			// the SM gets one extra (no-op) pass that advances rrPtr. Issue
-			// order depends on rrPtr, so this quirk is load-bearing.
+			// value into the SM's next event before noticing the warp had
+			// finished, so the SM gets one extra (no-op) pass that advances
+			// rrPtr. Issue order depends on rrPtr, so this quirk is
+			// load-bearing.
 			deadMin := int64(math.MaxInt64)
 			n := len(sm.warps)
 			// Issue in round-robin order: ready warps in [rrPtr, n), then
@@ -516,7 +524,6 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 					if w.nextReady < deadMin {
 						deadMin = w.nextReady
 					}
-					w.active = false
 					bs := &sm.blocks[w.blockSlot]
 					bs.warpsLeft--
 					if bs.warpsLeft == 0 {
@@ -538,11 +545,17 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 			if sm.rrPtr >= n {
 				sm.rrPtr = 0
 			}
-			if dispatched || sm.ready.any() {
+			switch {
+			case sm.resident == 0:
+				// Drained SM: no block left and none to dispatch (a
+				// dispatch would have made it resident), so it stays out
+				// of the loop and the idle jump for the rest of the kernel.
+				s.smNext[i] = math.MaxInt64
+			case dispatched || sm.ready.any():
 				// A fresh block or an unserved ready warp: revisit next
 				// cycle (matches the linear scan's newMin <= now cases).
-				sm.minReady = now
-			} else {
+				s.smNext[i] = now
+			default:
 				newMin := deadMin
 				if wk := sm.nextWake(now); wk < newMin {
 					newMin = wk
@@ -550,7 +563,7 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 				if newMin == math.MaxInt64 {
 					newMin = now + 1
 				}
-				sm.minReady = newMin
+				s.smNext[i] = newMin
 			}
 			warpInstrs += int64(schedulers - issueBudget)
 		}
@@ -576,10 +589,9 @@ func (s *Simulator) RunKernel(k *trace.KernelDesc, opts Options) (*KernelResult,
 		} else {
 			// Nothing ready anywhere: jump to the next event.
 			next := int64(math.MaxInt64)
-			for i := 0; i < numSMs; i++ {
-				sm := &s.sms[i]
-				if sm.resident > 0 && sm.minReady < next {
-					next = sm.minReady
+			for _, t := range s.smNext {
+				if t < next {
+					next = t
 				}
 			}
 			if next == math.MaxInt64 || next <= now {

@@ -164,3 +164,31 @@ func TestGenerationsRankOnComputeKernel(t *testing.T) {
 		t.Errorf("RTX 2060 cycles %d vs V100 %d; SM scaling missing", tu.Cycles, v.Cycles)
 	}
 }
+
+// TestLargestWorkingSetFitsCacheTags: the caches store 32-bit tags, and
+// trace.MaxWorkingSetBytes is set so that every address a valid kernel can
+// touch has a tag that fits on every device. The top address must be
+// cacheable in each device's L1 and L2, a kernel spread over the largest
+// working set must run, and one byte more must be refused by validation.
+func TestLargestWorkingSetFitsCacheTags(t *testing.T) {
+	for _, dev := range []gpu.Device{gpu.VoltaV100(), gpu.TuringRTX2060(), gpu.AmpereRTX3070()} {
+		s := New(dev)
+		top := uint64(trace.MaxWorkingSetBytes) - 1
+		if s.l1[0].Access(top) || !s.l1[0].Access(top) || s.l2.Access(top) || !s.l2.Access(top) {
+			t.Fatalf("%s: top address not cached", dev.Name)
+		}
+		k := trace.KernelDesc{
+			Name: "huge-ws", Grid: trace.D1(40), Block: trace.D1(128),
+			Mix:              trace.InstrMix{Compute: 4, GlobalLoads: 8},
+			CoalescingFactor: 8, WorkingSetBytes: trace.MaxWorkingSetBytes,
+			DivergenceEff: 1, Seed: 5,
+		}
+		if _, err := New(dev).RunKernel(&k, Options{}); err != nil {
+			t.Fatalf("%s: %v", dev.Name, err)
+		}
+		k.WorkingSetBytes++
+		if _, err := New(dev).RunKernel(&k, Options{}); err == nil {
+			t.Fatalf("%s: working set above trace.MaxWorkingSetBytes accepted", dev.Name)
+		}
+	}
+}

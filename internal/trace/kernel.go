@@ -112,6 +112,12 @@ type KernelDesc struct {
 	Seed uint64
 }
 
+// MaxWorkingSetBytes bounds KernelDesc.WorkingSetBytes at 1 TiB. The
+// simulator's caches store 32-bit tags, and with every device's cache
+// geometry (128-byte lines, at least 64 sets) this bound keeps each tag
+// of each address a kernel can touch below 2^32-1, so no two lines alias.
+const MaxWorkingSetBytes = 1 << 40
+
 // Validate reports structural problems that would make a kernel
 // unexecutable on any substrate.
 func (k *KernelDesc) Validate() error {
@@ -139,6 +145,9 @@ func (k *KernelDesc) Validate() error {
 	}
 	if k.BlockImbalance < 0 {
 		return fmt.Errorf("trace: kernel %q negative block imbalance", k.Name)
+	}
+	if k.WorkingSetBytes < 0 || k.WorkingSetBytes > MaxWorkingSetBytes {
+		return fmt.Errorf("trace: kernel %q working set %d bytes outside [0, %d]", k.Name, k.WorkingSetBytes, int64(MaxWorkingSetBytes))
 	}
 	return nil
 }

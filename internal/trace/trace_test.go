@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,10 @@ func TestValidateRejections(t *testing.T) {
 		"divergence high": func(k *KernelDesc) { k.DivergenceEff = 1.5 },
 		"bad strided":     func(k *KernelDesc) { k.StridedFraction = -0.1 },
 		"neg imbalance":   func(k *KernelDesc) { k.BlockImbalance = -1 },
+		"neg working set": func(k *KernelDesc) { k.WorkingSetBytes = -1 },
+		"huge working set": func(k *KernelDesc) {
+			k.WorkingSetBytes = MaxWorkingSetBytes + 1
+		},
 	}
 	for name, mutate := range mutations {
 		k := validKernel()
@@ -75,6 +80,20 @@ func TestValidateRejections(t *testing.T) {
 		if err := k.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid kernel", name)
 		}
+	}
+}
+
+func TestValidateWorkingSetBound(t *testing.T) {
+	k := validKernel()
+	for _, ws := range []int64{0, MaxWorkingSetBytes} {
+		k.WorkingSetBytes = ws
+		if err := k.Validate(); err != nil {
+			t.Errorf("working set %d rejected: %v", ws, err)
+		}
+	}
+	k.WorkingSetBytes = MaxWorkingSetBytes + 1
+	if err := k.Validate(); err == nil || !strings.Contains(err.Error(), "working set") {
+		t.Errorf("working set above the bound: err = %v", err)
 	}
 }
 
